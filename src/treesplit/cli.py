@@ -420,7 +420,10 @@ def main(argv=None) -> int:
         parser.error("--workers must be at least 1")
     if getattr(args, "count", 1) < 1:
         parser.error("--count must be at least 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the library's bad-input type
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,10 +11,11 @@ import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .planar import build_grid, compute_dual, grid_vertex, grid_vertical_edge
+from .bounds import exit_above_floor
+from .planar import build_grid, grid_vertex, grid_vertical_edge, root_forest, subtree_sizes
 from .rng import RngStream
 from .stats import wilson_score_interval
-from .walks import WilsonSampler
+from .walks import DualWilsonSampler
 
 
 def default_workers() -> int:
@@ -84,84 +85,49 @@ def corner_vertical_class(m: int, n: int) -> EdgeClass:
 # -- per-trial grid machinery --------------------------------------------------
 
 
-class GridSplitCounter:
-    """Samples trees of an m-by-n grid via the dual and scores vertical edges.
+def _trial_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous trial-index chunks, about two per worker."""
+    chunk = max(1, trials // max(1, 2 * workers))
+    return [(lo, min(trials, lo + chunk)) for lo in range(0, trials, chunk)]
 
-    Per trial it computes rooted subtree sizes once, from which both the
-    per-edge balanced-split indicator and tree 2-splittability follow.
+
+def _run_chunks(chunks, workers: int, fn):
+    if workers <= 1:
+        return [fn(c) for c in chunks]
+    with Pool(processes=workers) as pool:
+        return pool.map(fn, chunks)
+
+
+def _edge_chunk(args) -> tuple[int, list[int], int]:
+    """Below-component sizes of one vertical edge over a range of trials.
+
+    Trial t samples a grid tree keyed by (seed, (key, t)) and roots it once.
+    ``counts[s]`` tallies the trees holding the edge (i, j), 1-based, with s
+    vertices on its lower side; the splittable count tallies the trees with
+    a balanced single-edge cut.
     """
-
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
-        self.g = build_grid(m, n)
-        self.dual = compute_dual(self.g)
-        self.sampler = WilsonSampler(self.dual, self.dual.root)
-        self.num_edges = self.g.num_edges
-        self.N = m * n
-        self.edge_pairs = self.g.edges
-
-    def edge_id(self, i: int, j: int) -> int:
-        """Vertical edge (i, j) in 1-based grid coordinates."""
-        return grid_vertical_edge(self.m, self.n, i - 1, j - 1)
-
-    def lower_vertex(self, i: int, j: int) -> int:
-        return grid_vertex(self.m, i - 1, j - 1)
-
-    def sample_tree(self, rng: RngStream) -> tuple[bytearray, int]:
-        dual_edges, steps = self.sampler.sample_edges(rng)
-        in_tree = bytearray(self.num_edges)
-        for e in range(self.num_edges):
-            in_tree[e] = 1
-        for e in dual_edges:
-            in_tree[e] = 0
-        return in_tree, steps
-
-    def subtree_sizes(self, in_tree: bytearray):
-        """Parent arrays and subtree sizes for the sampled tree rooted at 0."""
-        n = self.N
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        pairs = self.edge_pairs
-        for e in range(self.num_edges):
-            if in_tree[e]:
-                u, v = pairs[e]
-                adj[u].append((e, v))
-                adj[v].append((e, u))
-        parent = [-1] * n
-        parent_edge = [-1] * n
-        order = [0]
-        parent[0] = 0
-        for x in order:
-            for e, w in adj[x]:
-                if parent[w] < 0:
-                    parent[w] = x
-                    parent_edge[w] = e
-                    order.append(w)
-        size = [1] * n
-        for x in reversed(order[1:]):
-            size[parent[x]] += size[x]
-        parent[0] = -1
-        return parent, parent_edge, size
-
-    def below_size(self, in_tree, parent, parent_edge, size, i: int, j: int) -> int | None:
-        """Size of the component below vertical edge (i, j), or None if absent."""
-        e = self.edge_id(i, j)
-        if not in_tree[e]:
-            return None
-        lower = self.lower_vertex(i, j)
-        upper = lower + self.m
+    m, n, seed, key, (i, j), lo, hi = args
+    g = build_grid(m, n)
+    sampler = DualWilsonSampler(g)
+    big_n = m * n
+    # the root's size is N, never N/2, so searching all sizes is safe
+    half = big_n // 2 if big_n % 2 == 0 else -1
+    e = grid_vertical_edge(m, n, i - 1, j - 1)
+    lower = grid_vertex(m, i - 1, j - 1)
+    upper = lower + m
+    counts = [0] * (big_n + 1)
+    splittable = 0
+    for t in range(lo, hi):
+        edges, _ = sampler.sample_edges(RngStream(seed, (key, t)))
+        parent, parent_edge, order = root_forest(big_n, g.edges, edges)
+        size = subtree_sizes(parent, order)
         if parent_edge[lower] == e:
-            return size[lower]
-        assert parent_edge[upper] == e
-        return self.N - size[upper]
-
-    def is_two_splittable(self, parent_edge, size) -> bool:
-        if self.N % 2:
-            return False
-        half = self.N // 2
-        return any(
-            size[x] == half for x in range(self.N) if parent_edge[x] >= 0
-        )
+            counts[size[lower]] += 1
+        elif parent_edge[upper] == e:
+            counts[big_n - size[upper]] += 1
+        if half in size:
+            splittable += 1
+    return key, counts, splittable
 
 
 # -- heatmap -------------------------------------------------------------------
@@ -193,32 +159,6 @@ class HeatmapResult:
         return total / sum(r.trials for r in self.rows)
 
 
-def _heatmap_chunk(args) -> tuple[int, int, int]:
-    m, n, seed, class_index, edge, lo, hi = args
-    counter = GridSplitCounter(m, n)
-    i, j = edge
-    half = counter.N // 2
-    successes = 0
-    splittable = 0
-    for t in range(lo, hi):
-        rng = RngStream(seed, (class_index, t))
-        in_tree, _ = counter.sample_tree(rng)
-        parent, parent_edge, size = counter.subtree_sizes(in_tree)
-        below = counter.below_size(in_tree, parent, parent_edge, size, i, j)
-        if below == half:
-            successes += 1
-        if counter.is_two_splittable(parent_edge, size):
-            splittable += 1
-    return class_index, successes, splittable
-
-
-def _run_chunks(chunks, workers: int, fn):
-    if workers <= 1:
-        return [fn(c) for c in chunks]
-    with Pool(processes=workers) as pool:
-        return pool.map(fn, chunks)
-
-
 def heatmap_run(
     m: int,
     n: int,
@@ -237,18 +177,14 @@ def heatmap_run(
         raise ValueError("the heatmap needs an even number of vertices")
     if classes is None:
         classes = vertical_edge_classes(m, n)
-    chunk = max(1, trials // max(1, 2 * workers))
-    chunks = []
-    for ci, c in enumerate(classes):
-        lo = 0
-        while lo < trials:
-            hi = min(trials, lo + chunk)
-            chunks.append((m, n, seed, ci, (c.col, c.row), lo, hi))
-            lo = hi
-    results = _run_chunks(chunks, workers, _heatmap_chunk)
+    chunks = [
+        (m, n, seed, ci, (c.col, c.row), lo, hi)
+        for ci, c in enumerate(classes)
+        for lo, hi in _trial_ranges(trials, workers)
+    ]
     per_class = [HeatmapClassResult(c.col, c.row, 0, trials, 0) for c in classes]
-    for ci, successes, splittable in results:
-        per_class[ci].successes += successes
+    for ci, counts, splittable in _run_chunks(chunks, workers, _edge_chunk):
+        per_class[ci].successes += counts[m * n // 2]
         per_class[ci].splittable += splittable
     return HeatmapResult(m, n, trials, classes, per_class)
 
@@ -280,23 +216,6 @@ class HistogramResult:
         return out
 
 
-def _histogram_chunk(args):
-    m, n, seed, edge, lo, hi = args
-    counter = GridSplitCounter(m, n)
-    i, j = edge
-    counts = [0] * (counter.N + 1)
-    in_tree_count = 0
-    for t in range(lo, hi):
-        rng = RngStream(seed, (0, t))
-        in_tree, _ = counter.sample_tree(rng)
-        parent, parent_edge, size = counter.subtree_sizes(in_tree)
-        below = counter.below_size(in_tree, parent, parent_edge, size, i, j)
-        if below is not None:
-            counts[below] += 1
-            in_tree_count += 1
-    return counts, in_tree_count
-
-
 def histogram_run(
     m: int,
     n: int,
@@ -313,20 +232,12 @@ def histogram_run(
     i, j = edge
     if not (1 <= i <= m and 1 <= j <= n - 1):
         raise ValueError(f"no vertical edge at ({i}, {j}) in a {m}x{n} grid")
-    chunk = max(1, trials // max(1, 2 * workers))
-    chunks = []
-    lo = 0
-    while lo < trials:
-        hi = min(trials, lo + chunk)
-        chunks.append((m, n, seed, edge, lo, hi))
-        lo = hi
-    results = _run_chunks(chunks, workers, _histogram_chunk)
+    chunks = [(m, n, seed, 0, edge, lo, hi) for lo, hi in _trial_ranges(trials, workers)]
     counts = [0] * (m * n + 1)
-    in_tree = 0
-    for c, it in results:
-        in_tree += it
+    for _, c, _ in _run_chunks(chunks, workers, _edge_chunk):
         for s, v in enumerate(c):
             counts[s] += v
+    in_tree = sum(counts)
     return HistogramResult(m, n, edge, trials, counts, in_tree)
 
 
@@ -351,53 +262,37 @@ class WalkBoundResult:
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
+# geometry -> params -> (box (x_lo, x_hi, y_lo, y_hi), start, success test on
+# the first point outside the box)
+_BOX_WALKS = {
+    "exit-not-below": lambda p: (
+        (1, p["m"], 1, p["n"]), (p["i0"], p["j0"]), lambda x, y: y > 0),
+    "square-top": lambda p: (
+        (-p["ell"], p["ell"], 0, 2 * p["ell"]), (0, 0), lambda x, y: y == 2 * p["ell"] + 1),
+    "tall-top": lambda p: (
+        (0, p["m"], 0, p["n"]), (p["m"] // 2, 0), lambda x, y: y == p["n"] + 1),
+}
+
 
 def _walk_chunk(args):
     geometry, params, seed, lo, hi = args
+    (x_lo, x_hi, y_lo, y_hi), start, success = _BOX_WALKS[geometry](params)
     successes = 0
     for t in range(lo, hi):
         rng = RngStream(seed, (t,))
         buf = rng.block()
         bi = 0
         blen = len(buf)
-        if geometry == "exit-not-below":
-            m, n, i0, j0 = params["m"], params["n"], params["i0"], params["j0"]
-            x, y = i0, j0
-            while 1 <= x <= m and 1 <= y <= n:
-                if bi == blen:
-                    buf = rng.block()
-                    bi = 0
-                dx, dy = _STEPS[int(buf[bi] * 4)]
-                bi += 1
-                x += dx
-                y += dy
-            successes += y > 0
-        elif geometry == "square-top":
-            ell = params["ell"]
-            x, y = 0, 0
-            while -ell <= x <= ell and 0 <= y <= 2 * ell:
-                if bi == blen:
-                    buf = rng.block()
-                    bi = 0
-                dx, dy = _STEPS[int(buf[bi] * 4)]
-                bi += 1
-                x += dx
-                y += dy
-            successes += y == 2 * ell + 1
-        elif geometry == "tall-top":
-            m, n = params["m"], params["n"]
-            x, y = m // 2, 0
-            while 0 <= x <= m and 0 <= y <= n:
-                if bi == blen:
-                    buf = rng.block()
-                    bi = 0
-                dx, dy = _STEPS[int(buf[bi] * 4)]
-                bi += 1
-                x += dx
-                y += dy
-            successes += y == n + 1
-        else:
-            raise ValueError(f"unknown geometry {geometry!r}")
+        x, y = start
+        while x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+            if bi == blen:
+                buf = rng.block()
+                bi = 0
+            dx, dy = _STEPS[int(buf[bi] * 4)]
+            bi += 1
+            x += dx
+            y += dy
+        successes += success(x, y)
     return successes
 
 
@@ -414,16 +309,18 @@ def walk_bound_run(
     tall-rectangle top-exit probabilities have unknown constants, so only the
     estimate and confidence interval are reported.
     """
+    if geometry not in _BOX_WALKS:
+        raise ValueError(f"unknown geometry {geometry!r}")
+    (x_lo, x_hi, y_lo, y_hi), (x0, y0), _ = _BOX_WALKS[geometry](params)
+    if not (x_lo <= x0 <= x_hi and y_lo <= y0 <= y_hi):
+        raise ValueError(
+            f"{geometry}: start ({x0}, {y0}) lies outside the box "
+            f"[{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]"
+        )
     bound = None
     if geometry == "exit-not-below":
-        bound = params["j0"] / (params["n"] + 1)
-    chunk = max(1, trials // max(1, 2 * workers))
-    chunks = []
-    lo = 0
-    while lo < trials:
-        hi = min(trials, lo + chunk)
-        chunks.append((geometry, params, seed, lo, hi))
-        lo = hi
+        bound = float(exit_above_floor(params["j0"], params["n"]))
+    chunks = [(geometry, params, seed, lo, hi) for lo, hi in _trial_ranges(trials, workers)]
     results = _run_chunks(chunks, workers, _walk_chunk)
     return WalkBoundResult(geometry, params, sum(results), trials, bound)
 
@@ -444,12 +341,10 @@ def wilson_scaling(sizes, samples: int, seed: int) -> list[ScalingPoint]:
     """Mean dual-rooted Wilson step counts over n-by-n grids."""
     out = []
     for idx, n in enumerate(sizes):
-        counter = GridSplitCounter(n, n)
-        total = 0
-        for t in range(samples):
-            rng = RngStream(seed, (idx, t))
-            _, steps = counter.sample_tree(rng)
-            total += steps
+        sampler = DualWilsonSampler(build_grid(n, n))
+        total = sum(
+            sampler.sample_edges(RngStream(seed, (idx, t)))[1] for t in range(samples)
+        )
         mean = total / samples
         big_n = n * n
         out.append(

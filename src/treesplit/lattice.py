@@ -21,11 +21,12 @@ from .planar import (
     PlanarEmbedding,
     SpanningTree,
     compute_dual,
+    root_forest,
 )
 from .rng import RngStream
 from .splitting import find_approx_split
 from .stats import wilson_score_interval
-from .walks import WilsonSampler
+from .walks import DualWilsonSampler
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -690,27 +691,6 @@ class CompatibilityExperiment:
     splittable_ci_high: float
 
 
-def _tree_arrays(num_vertices: int, edge_pairs, tree_edges):
-    """Rooted parent arrays and a leaves-first order for one tree."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-    for e in tree_edges:
-        u, v = edge_pairs[e]
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    parent = [-1] * num_vertices
-    parent_edge = [-1] * num_vertices
-    order = [0]
-    parent[0] = 0
-    for x in order:
-        for e, w in adj[x]:
-            if parent[w] < 0:
-                parent[w] = x
-                parent_edge[w] = e
-                order.append(w)
-    parent[0] = -1
-    return parent, parent_edge, order
-
-
 def _two_face_tree_scan(region, far0, far1, size_lo, size_hi, tree_edges) -> tuple[bool, bool]:
     """Scan all single-edge cuts of one tree for the two events at once.
 
@@ -718,7 +698,7 @@ def _two_face_tree_scan(region, far0, far1, size_lo, size_hi, tree_edges) -> tup
     """
     g = region.region
     n = g.num_vertices
-    parent, _, order = _tree_arrays(n, g.edges, tree_edges)
+    parent, _, order = root_forest(n, g.edges, tree_edges)
     cnt0 = far0.astype(np.int64).tolist()
     cnt1 = far1.astype(np.int64).tolist()
     size = [1] * n
@@ -768,7 +748,6 @@ def compatibility_experiment(
     if region is None:
         region = build_lattice_region(kind, n, d, delta if delta is not None else 3.0 / n)
     g = region.region
-    dual = region.dual
     k = d.num_inner_faces
     coords = np.asarray(g.coords, dtype=float)
     faces = d.face_polygons()
@@ -776,17 +755,11 @@ def compatibility_experiment(
     nv = g.num_vertices
     size_lo = math.ceil((1 - epsilon) * nv / k - 1e-9)
     size_hi = math.floor((1 + epsilon) * nv / k + 1e-9)
-    sampler = WilsonSampler(dual, dual.root)
-    num_edges = g.num_edges
+    sampler = DualWilsonSampler(g, region.dual)
     successes = 0
     sized_successes = 0
     for t in range(trials):
-        rng = RngStream(seed, (t,))
-        dual_edges, _ = sampler.sample_edges(rng)
-        in_dual = bytearray(num_edges)
-        for e in dual_edges:
-            in_dual[e] = 1
-        tree_edges = [e for e in range(num_edges) if not in_dual[e]]
+        tree_edges, _ = sampler.sample_edges(RngStream(seed, (t,)))
         if k == 1:
             successes += 1
             sized_successes += 1

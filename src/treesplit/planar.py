@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from typing import Iterable, Sequence
 
 
@@ -356,34 +357,60 @@ class SpanningTree:
     def __contains__(self, eid: int) -> bool:
         return eid in self.edges
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (edge id, neighbor) restricted to tree edges."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.host.num_vertices)]
-        for e in self.edges:
-            u, v = self.host.edges[e]
-            adj[u].append((e, v))
-            adj[v].append((e, u))
-        return adj
 
-    def rooted(self, root: int | None = None) -> tuple[list[int], list[int]]:
-        """Parent vertex and parent edge arrays for the tree rooted at ``root``."""
-        r = self.root if root is None else root
-        adj = self.adjacency()
-        n = self.host.num_vertices
-        parent_v = [-1] * n
-        parent_e = [-1] * n
-        stack = [r]
-        seen = bytearray(n)
-        seen[r] = 1
-        while stack:
-            x = stack.pop()
+def root_forest(
+    num_vertices: int,
+    edge_pairs: Sequence[tuple[int, int]],
+    edges: Iterable[int],
+) -> tuple[list[int], list[int], list[int]]:
+    """Root the forest made of edge ids ``edges`` (endpoints in ``edge_pairs``).
+
+    Each component is rooted at its smallest vertex and searched breadth
+    first, children in ascending edge id. Returns ``(parent, parent_edge,
+    order)``: roots have parent and parent edge -1, and ``order`` lists every
+    vertex once, component after component in ascending root order, each
+    parent before its children. An edge that would close a cycle is skipped.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for e in sorted(edges):
+        u, v = edge_pairs[e]
+        adj[u].append((e, v))
+        adj[v].append((e, u))
+    parent = [-1] * num_vertices
+    parent_edge = [-1] * num_vertices
+    order: list[int] = []
+    roots = []
+    for r in range(num_vertices):
+        if len(order) == num_vertices:
+            break
+        if parent[r] >= 0:
+            continue
+        start = len(order)
+        parent[r] = r  # marks the root as reached until the search ends
+        roots.append(r)
+        order.append(r)
+        for x in islice(order, start, None):
             for e, w in adj[x]:
-                if not seen[w]:
-                    seen[w] = 1
-                    parent_v[w] = x
-                    parent_e[w] = e
-                    stack.append(w)
-        return parent_v, parent_e
+                if parent[w] < 0:
+                    parent[w] = x
+                    parent_edge[w] = e
+                    order.append(w)
+    for r in roots:
+        parent[r] = -1
+    return parent, parent_edge, order
+
+
+def subtree_sizes(parent: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Vertex count of every subtree, from :func:`root_forest` arrays.
+
+    A root's entry is the order of its component.
+    """
+    size = [1] * len(parent)
+    for x in reversed(order):
+        p = parent[x]
+        if p >= 0:
+            size[p] += size[x]
+    return size
 
 
 def dual_tree(t: SpanningTree, dual: DualGraph | None = None) -> SpanningTree:
@@ -484,26 +511,14 @@ class Partition:
         missing = cut - t.edges
         if missing:
             raise ValueError(f"cut edges {sorted(missing)} are not in the tree")
-        adj = t.adjacency()
-        n = t.host.num_vertices
-        comp = [-1] * n
-        classes = []
-        for s in range(n):
-            if comp[s] >= 0:
-                continue
-            cid = len(classes)
-            comp[s] = cid
-            members = [s]
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for e, w in adj[x]:
-                    if e not in cut and comp[w] < 0:
-                        comp[w] = cid
-                        members.append(w)
-                        stack.append(w)
-            classes.append(members)
-        return cls(t.host, classes, cut_edges=cut)
+        host = t.host
+        parent, _, order = root_forest(host.num_vertices, host.edges, t.edges - cut)
+        classes: list[list[int]] = []
+        for x in order:
+            if parent[x] < 0:
+                classes.append([])
+            classes[-1].append(x)
+        return cls(host, classes, cut_edges=cut)
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

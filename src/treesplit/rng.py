@@ -70,9 +70,3 @@ class RngStream:
             x &= mask
             if x < n:
                 return x
-
-    def shuffled(self, items: list) -> list:
-        """Return a shuffled copy of ``items``."""
-        out = list(items)
-        self._gen.shuffle(out)
-        return out

@@ -12,10 +12,10 @@ import time
 from dataclasses import dataclass, field
 
 from .dynforest import LinkCutForest, NaiveForest
-from .planar import Multigraph, Partition, PlanarEmbedding, SpanningTree, compute_dual, count_spanning_trees
+from .planar import Multigraph, Partition, PlanarEmbedding, SpanningTree, count_spanning_trees, root_forest
 from .rng import RngStream
 from .splitting import find_balanced_split, find_min_imbalance_split
-from .walks import WilsonSampler, wilson
+from .walks import DualWilsonSampler, wilson
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -35,28 +35,14 @@ class KForest:
         self.host = host
         self.edges = frozenset(int(e) for e in edges)
         n = host.num_vertices
+        parent, _, order = root_forest(n, host.edges, self.edges)
         comp = [-1] * n
-        sizes = []
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for e in self.edges:
-            u, v = host.edges[e]
-            adj[u].append(v)
-            adj[v].append(u)
-        for s in range(n):
-            if comp[s] >= 0:
-                continue
-            cid = len(sizes)
-            comp[s] = cid
-            size = 1
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for w in adj[x]:
-                    if comp[w] < 0:
-                        comp[w] = cid
-                        size += 1
-                        stack.append(w)
-            sizes.append(size)
+        sizes: list[int] = []
+        for x in order:
+            if parent[x] < 0:
+                sizes.append(0)
+            comp[x] = len(sizes) - 1
+            sizes[-1] += 1
         self.component = tuple(comp)
         self.component_sizes = tuple(sizes)
         if validate:
@@ -270,25 +256,15 @@ def perfect_balanced_sample(
     n = g.num_vertices
     if n % k != 0:
         raise ValueError(f"k={k} does not divide the vertex count {n}")
-    if dual is None:
-        dual = compute_dual(g)
-    sampler = WilsonSampler(dual, dual.root)
+    sampler = DualWilsonSampler(g, dual)
     report = SamplerReport(seed=(rng.seed,) + rng.stream)
     t0 = time.perf_counter()
-    num_edges = g.num_edges
     while report.rounds_attempted < max_rounds:
         report.rounds_attempted += 1
-        dual_edges, steps = sampler.sample_edges(rng)
+        edges, steps = sampler.sample_edges(rng)
         report.trees_sampled += 1
         report.steps_taken += steps
-        in_dual = bytearray(num_edges)
-        for e in dual_edges:
-            in_dual[e] = 1
-        tree = SpanningTree(
-            g,
-            [e for e in range(num_edges) if not in_dual[e]],
-            validate=False,
-        )
+        tree = SpanningTree(g, edges, validate=False)
         split = find_balanced_split(tree, k)
         if split is None:
             report.reject("not_splittable")

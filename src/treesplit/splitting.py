@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-
-from .planar import SpanningTree
+from .planar import SpanningTree, root_forest, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -25,39 +23,17 @@ class SplitResult:
         return max(self.component_sizes) - min(self.component_sizes)
 
 
-def _tree_adjacency(t: SpanningTree) -> list[list[tuple[int, int]]]:
-    adj = t.adjacency()
-    for lst in adj:
-        lst.sort()  # edge-id order fixes child traversal, hence determinism
-    return adj
-
-
 def component_sizes(t: SpanningTree, cut_edges) -> tuple[int, ...]:
     """Component orders of the forest t minus the cut, length |cut|+1."""
     cut = frozenset(int(e) for e in cut_edges)
     extra = cut - t.edges
     if extra:
         raise ValueError(f"edges {sorted(extra)} are not in the tree")
-    n = t.host.num_vertices
-    adj = t.adjacency()
-    seen = bytearray(n)
-    sizes = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        size = 1
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for e, w in adj[x]:
-                if e not in cut and not seen[w]:
-                    seen[w] = 1
-                    size += 1
-                    stack.append(w)
-        sizes.append(size)
+    parent, _, order = root_forest(t.host.num_vertices, t.host.edges, t.edges - cut)
+    size = subtree_sizes(parent, order)
+    sizes = tuple(size[x] for x in order if parent[x] < 0)
     assert len(sizes) == len(cut) + 1
-    return tuple(sizes)
+    return sizes
 
 
 def find_balanced_split(t: SpanningTree, k: int) -> SplitResult | None:
@@ -75,24 +51,18 @@ def find_balanced_split(t: SpanningTree, k: int) -> SplitResult | None:
     quota = n // k
     if k == 1:
         return SplitResult(frozenset(), (n,))
-    adj = _tree_adjacency(t)
-    root = 0
-    parent_e = [-1] * n
-    order = [root]
-    parent = [-1] * n
-    for x in order:
-        for e, w in adj[x]:
-            if w != parent[x]:
-                parent[w] = x
-                parent_e[w] = e
-                order.append(w)
+    parent, parent_e, order = root_forest(n, t.host.edges, t.edges)
+    root = order[0]
     residual = [1] * n
     cuts = []
     for x in reversed(order):
-        if x != root and residual[x] == quota:
+        p = parent[x]
+        if p < 0:
+            continue
+        if residual[x] == quota:
             cuts.append(parent_e[x])
-        elif x != root:
-            residual[parent[x]] += residual[x]
+        else:
+            residual[p] += residual[x]
     if len(cuts) == k - 1 and residual[root] == quota:
         return SplitResult(frozenset(cuts), (quota,) * k)
     return None
@@ -110,38 +80,17 @@ class _WindowDP:
 
     def __init__(self, t: SpanningTree, lo: int, hi: int, max_cuts: int,
                  forced: frozenset[int] = frozenset()):
-        self.t = t
-        self.lo = lo
         self.hi = hi
         self.max_cuts = max_cuts
-        self.forced = forced
         n = t.host.num_vertices
         self.window_mask = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1) if hi >= lo else 0
-        adj = _tree_adjacency(t)
         # forced cuts split the tree into sub-root components
-        self.roots: list[int] = []
-        self.parent = [-1] * n
-        self.parent_e = [-1] * n
+        parent, parent_e, self.order = root_forest(n, t.host.edges, t.edges - forced)
+        self.roots = [x for x in self.order if parent[x] < 0]
         self.children: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.order: list[int] = []
-        seen = bytearray(n)
-        for s in range(n):
-            if seen[s]:
-                continue
-            self.roots.append(s)
-            seen[s] = 1
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                self.order.append(x)
-                for e, w in adj[x]:
-                    if e in forced or seen[w]:
-                        continue
-                    seen[w] = 1
-                    self.parent[w] = x
-                    self.parent_e[w] = e
-                    self.children[x].append((e, w))
-                    stack.append(w)
+        for x in self.order:
+            if parent[x] >= 0:
+                self.children[parent[x]].append((parent_e[x], x))
         self.dp: list[dict[int, int]] = [dict() for _ in range(n)]
         self.trail: list[list[dict[int, int]]] = [[] for _ in range(n)]
         self._run()
@@ -334,13 +283,3 @@ def find_min_imbalance_split(t: SpanningTree, k: int) -> SplitResult:
     result = SplitResult(frozenset(forced), sizes)
     assert result.imbalance == best_delta, "witness must realize the minimum"
     return result
-
-
-# -- exhaustive oracles (shared with the test suite) ---------------------------
-
-
-def brute_force_splits(t: SpanningTree, k: int):
-    """All (cut, sizes) pairs over (k-1)-subsets of tree edges."""
-    edges = sorted(t.edges)
-    for cut in combinations(edges, k - 1):
-        yield frozenset(cut), component_sizes(t, cut)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .planar import DualGraph, Multigraph, PlanarEmbedding, SpanningTree, compute_dual
@@ -262,6 +263,30 @@ def wilson(
     return SpanningTree(g, edges, root=root, steps=steps, validate=False)
 
 
+class DualWilsonSampler:
+    """Uniform spanning trees of a plane graph G through Wilson on its dual.
+
+    Wilson runs on G* rooted at the outer face; the primal tree is the
+    complement of the dual tree under the edge bijection e <-> e*.
+    """
+
+    def __init__(self, g: PlanarEmbedding, dual: DualGraph | None = None):
+        if dual is None:
+            dual = compute_dual(g)
+        self.g = g
+        self._wilson = WilsonSampler(dual, dual.root)
+
+    def sample_edges(
+        self, rng: RngStream, starts: Sequence[int] | None = None
+    ) -> tuple[list[int], int]:
+        """One uniform spanning tree of G as ascending edge ids, plus the dual walk's steps."""
+        dual_edges, steps = self._wilson.sample_edges(rng, starts)
+        in_tree = bytearray(b"\x01") * self.g.num_edges
+        for e in dual_edges:
+            in_tree[e] = 0
+        return list(compress(range(len(in_tree)), in_tree)), steps
+
+
 def wilson_on_dual(
     g: PlanarEmbedding,
     starts: Sequence[int] | None = None,
@@ -270,20 +295,12 @@ def wilson_on_dual(
 ) -> SpanningTree:
     """Sample a tree of G by running Wilson on G* rooted at the outer face.
 
-    The dual tree maps back through the edge-complement bijection; the dual
-    walk's step count is exposed on the result for scaling probes.
+    The dual walk's step count is exposed on the result for scaling probes.
     """
     if rng is None:
         raise ValueError("wilson_on_dual requires an RngStream")
-    if dual is None:
-        dual = compute_dual(g)
-    sampler = WilsonSampler(dual, dual.root)
-    dual_edges, steps = sampler.sample_edges(rng, starts)
-    in_dual = bytearray(g.num_edges)
-    for e in dual_edges:
-        in_dual[e] = 1
-    primal_edges = [e for e in range(g.num_edges) if not in_dual[e]]
-    return SpanningTree(g, primal_edges, steps=steps, validate=False)
+    edges, steps = DualWilsonSampler(g, dual).sample_edges(rng, starts)
+    return SpanningTree(g, edges, steps=steps, validate=False)
 
 
 # -- phased construction ------------------------------------------------------

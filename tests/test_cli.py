@@ -164,6 +164,24 @@ def test_cli_rejects_bad_trials():
         main(["heatmap", "--m", "2", "--n", "2", "--trials", "0", "--out", "x.csv"])
 
 
+@pytest.mark.parametrize("args", [
+    ["heatmap", "--m", "3", "--n", "3"],
+    ["histogram", "--edge", "0,0"],
+    ["sample", "--m", "3", "--n", "3", "--k", "2"],
+    ["sample", "--m", "1"],
+    ["walk-bounds", "--j0", "99"],
+])
+def test_cli_bad_input_is_one_line_error(args, tmp_path, capsys):
+    if args[0] in ("heatmap", "histogram"):
+        args = args + ["--trials", "10", "--out", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("treesplit: error: ")
+
+
 def test_sample_byte_identical(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesplit.enumeration import (
     enumerate_k_forests,
@@ -26,6 +28,8 @@ from treesplit.planar import (
     embedding_to_json,
     grid_vertex,
     primal_tree,
+    root_forest,
+    subtree_sizes,
 )
 
 # ---------------------------------------------------------------------------
@@ -352,3 +356,65 @@ def test_embedding_json_round_trip():
 def test_multigraph_rejects_self_loop():
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# Rooting forests
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def forests(draw):
+    """(num_vertices, edge_pairs, forest edge ids): a random labelled tree with
+    shuffled vertex and edge ids, minus a random cut set, plus stray non-forest
+    edges that rooting must ignore."""
+    n = draw(st.integers(1, 24))
+    label = draw(st.permutations(range(n)))
+    items = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        pair = (label[v], label[u]) if draw(st.booleans()) else (label[u], label[v])
+        items.append((pair, True))
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        stray = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+        items += [(p, False) for p in draw(st.lists(stray, max_size=6))]
+    items = draw(st.permutations(items))
+    tree_ids = [e for e, (_, in_tree) in enumerate(items) if in_tree]
+    cut = draw(st.sets(st.sampled_from(tree_ids))) if tree_ids else set()
+    edges = draw(st.permutations([e for e in tree_ids if e not in cut]))
+    return n, [p for p, _ in items], edges
+
+
+@settings(deadline=None)
+@given(forests())
+def test_root_forest_matches_component_oracle(case):
+    n, pairs, edges = case
+    parent, parent_edge, order = root_forest(n, pairs, edges)
+    comps = forest_components(Multigraph(n, pairs), frozenset(edges))
+    assert sorted(order) == list(range(n))
+    groups: list[list[int]] = []
+    for x in order:
+        if parent[x] < 0:
+            groups.append([])
+        groups[-1].append(x)
+    assert tuple(sorted(tuple(sorted(c)) for c in groups)) == comps
+    roots = [c[0] for c in groups]
+    assert roots == [min(c) for c in groups] == sorted(roots)
+    pos = {x: i for i, x in enumerate(order)}
+    for x in range(n):
+        p = parent[x]
+        if p < 0:
+            assert parent_edge[x] == -1
+            continue
+        assert parent_edge[x] in edges
+        assert sorted(pairs[parent_edge[x]]) == sorted((x, p))
+        assert pos[p] < pos[x]
+    for p in range(n):
+        kids = [parent_edge[x] for x in order if parent[x] == p]
+        assert kids == sorted(kids)
+    size = subtree_sizes(parent, order)
+    for c in groups:
+        assert size[c[0]] == len(c)
+    for x in range(n):
+        assert size[x] == 1 + sum(size[w] for w in range(n) if parent[w] == x)
