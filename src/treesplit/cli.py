@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # the library's bad-input type
-        parser.error(str(exc))
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

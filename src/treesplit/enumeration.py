@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 
 from .planar import Multigraph, Partition
 
@@ -111,7 +112,4 @@ def balanced_partition_weights(g: Multigraph, k: int) -> dict[tuple, int]:
 
 def partition_weight(p: Partition) -> int:
     """Tree-product weight of one partition (for cross-checks)."""
-    w = 1
-    for c in p.class_tree_counts:
-        w *= c
-    return w
+    return prod(p.class_tree_counts)

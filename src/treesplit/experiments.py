@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 
 from .bounds import exit_above_floor
@@ -98,6 +99,12 @@ def _run_chunks(chunks, workers: int, fn):
         return pool.map(fn, chunks)
 
 
+@lru_cache(maxsize=4)
+def _grid_sampler(m: int, n: int) -> DualWilsonSampler:
+    """The m-by-n grid's dual Wilson sampler, built once per shape and process."""
+    return DualWilsonSampler(build_grid(m, n))
+
+
 def _edge_chunk(args) -> tuple[int, list[int], int]:
     """Below-component sizes of one vertical edge over a range of trials.
 
@@ -107,8 +114,8 @@ def _edge_chunk(args) -> tuple[int, list[int], int]:
     a balanced single-edge cut.
     """
     m, n, seed, key, (i, j), lo, hi = args
-    g = build_grid(m, n)
-    sampler = DualWilsonSampler(g)
+    sampler = _grid_sampler(m, n)
+    g = sampler.g
     big_n = m * n
     # the root's size is N, never N/2, so searching all sizes is safe
     half = big_n // 2 if big_n % 2 == 0 else -1

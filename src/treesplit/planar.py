@@ -55,21 +55,7 @@ class Multigraph:
         return len(self.nbr[v])
 
     def is_connected(self) -> bool:
-        n = self.num_vertices
-        if n == 0:
-            return False
-        seen = bytearray(n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            x = stack.pop()
-            for w in self.nbr[x]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    stack.append(w)
-        return count == n
+        return len(forest_classes(self, range(self.num_edges))) == 1
 
     def other_endpoint(self, eid: int, v: int) -> int:
         u, w = self.edges[eid]
@@ -434,7 +420,19 @@ def primal_tree(t_star: SpanningTree) -> SpanningTree:
     return SpanningTree(primal, complement, steps=t_star.steps)
 
 
-def _validated_classes(g: Multigraph, classes: Sequence[Iterable[int]]) -> tuple[frozenset[int], ...]:
+def forest_classes(g: Multigraph, edges: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Vertex classes of the forest made of g's edge ids ``edges``.
+
+    Canonical form: ascending vertex tuples ordered by smallest vertex. An
+    edge that would close a cycle is skipped, so all of g's edges give g's
+    connected components.
+    """
+    parent, _, order = root_forest(g.num_vertices, g.edges, edges)
+    starts = [i for i, x in enumerate(order) if parent[x] < 0] + [g.num_vertices]
+    return tuple(tuple(sorted(order[a:b])) for a, b in zip(starts, starts[1:]))
+
+
+def _validated_classes(g: Multigraph, classes: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     sets = [frozenset(int(v) for v in c) for c in classes]
     seen: set[int] = set()
     for i, c in enumerate(sets):
@@ -445,62 +443,66 @@ def _validated_classes(g: Multigraph, classes: Sequence[Iterable[int]]) -> tuple
         seen |= c
     if seen != set(range(g.num_vertices)):
         raise PartitionError("classes do not cover the vertex set")
+    label = [0] * g.num_vertices
     for i, c in enumerate(sets):
-        start = next(iter(c))
-        stack = [start]
-        reached = {start}
-        while stack:
-            x = stack.pop()
-            for w in g.nbr[x]:
-                if w in c and w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if reached != c:
-            raise PartitionError(f"class {i} is disconnected")
-    return tuple(sorted(sets, key=min))
-
-
-def contract_partition(g: Multigraph, p) -> Multigraph:
-    """Contract each class of ``p`` to a point, keeping cross-edge multiplicity.
-
-    ``p`` may be a Partition or a sequence of vertex collections. Edges inside
-    a class become loops and are dropped.
-    """
-    if isinstance(p, Partition):
-        classes = p.classes
-    else:
-        classes = _validated_classes(g, p)
-    label = [-1] * g.num_vertices
-    for i, c in enumerate(classes):
         for v in c:
             label[v] = i
-    cross = [
-        (label[u], label[v]) for (u, v) in g.edges if label[u] != label[v]
-    ]
-    return Multigraph(len(classes), cross)
+    canonical = forest_classes(g, [e for e, (u, v) in enumerate(g.edges) if label[u] == label[v]])
+    if len(canonical) > len(sets):
+        owners = [label[c[0]] for c in canonical]
+        i = min(i for i in owners if owners.count(i) > 1)
+        raise PartitionError(f"class {i} is disconnected")
+    return canonical
+
+
+def contract_partition(g: Multigraph, classes: Sequence[Iterable[int]]) -> Multigraph:
+    """Contract each class to a point, keeping cross-edge multiplicity.
+
+    The classes are validated first; edges inside a class are dropped.
+    """
+    return Partition(g, classes).contraction
 
 
 class Partition:
-    """k connected vertex classes with exact tree counts and the contraction G/P."""
+    """k connected vertex classes of a host graph, held in canonical form.
 
-    __slots__ = ("host", "classes", "class_tree_counts", "contraction", "cut_edges")
+    The contraction G/P and the per-class tree counts are computed each time
+    they are read.
+    """
+
+    __slots__ = ("host", "classes", "cut_edges")
 
     def __init__(self, host: Multigraph, classes: Sequence[Iterable[int]], cut_edges=None):
         self.host = host
         self.classes = _validated_classes(host, classes)
-        self.contraction = contract_partition(host, self)
-        self.class_tree_counts = tuple(
-            count_spanning_trees(host.induced_subgraph(c)) for c in self.classes
-        )
         self.cut_edges = None if cut_edges is None else frozenset(cut_edges)
 
     @property
     def k(self) -> int:
         return len(self.classes)
 
+    @property
+    def contraction(self) -> Multigraph:
+        """G/P: class i becomes vertex i; edges inside a class are dropped."""
+        label = [-1] * self.host.num_vertices
+        for i, c in enumerate(self.classes):
+            for v in c:
+                label[v] = i
+        cross = [
+            (label[u], label[v]) for (u, v) in self.host.edges if label[u] != label[v]
+        ]
+        return Multigraph(len(self.classes), cross)
+
+    @property
+    def class_tree_counts(self) -> tuple[int, ...]:
+        """Exact spanning-tree count of each class's induced subgraph."""
+        return tuple(
+            count_spanning_trees(self.host.induced_subgraph(c)) for c in self.classes
+        )
+
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical hashable form for tallying empirical distributions."""
-        return tuple(tuple(sorted(c)) for c in self.classes)
+        return self.classes
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
@@ -511,14 +513,7 @@ class Partition:
         missing = cut - t.edges
         if missing:
             raise ValueError(f"cut edges {sorted(missing)} are not in the tree")
-        host = t.host
-        parent, _, order = root_forest(host.num_vertices, host.edges, t.edges - cut)
-        classes: list[list[int]] = []
-        for x in order:
-            if parent[x] < 0:
-                classes.append([])
-            classes[-1].append(x)
-        return cls(host, classes, cut_edges=cut)
+        return cls(t.host, forest_classes(t.host, t.edges - cut), cut_edges=cut)
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

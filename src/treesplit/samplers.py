@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .dynforest import LinkCutForest, NaiveForest
-from .planar import Multigraph, Partition, PlanarEmbedding, SpanningTree, count_spanning_trees, root_forest
+from .planar import Multigraph, Partition, PlanarEmbedding, SpanningTree, count_spanning_trees, forest_classes
 from .rng import RngStream
 from .splitting import find_balanced_split, find_min_imbalance_split
 from .walks import DualWilsonSampler, wilson
@@ -31,26 +31,22 @@ class KForest:
 
     __slots__ = ("host", "edges", "component", "component_sizes")
 
-    def __init__(self, host: Multigraph, edges, validate: bool = True):
+    def __init__(self, host: Multigraph, edges):
         self.host = host
         self.edges = frozenset(int(e) for e in edges)
         n = host.num_vertices
-        parent, _, order = root_forest(n, host.edges, self.edges)
+        classes = forest_classes(host, self.edges)
         comp = [-1] * n
-        sizes: list[int] = []
-        for x in order:
-            if parent[x] < 0:
-                sizes.append(0)
-            comp[x] = len(sizes) - 1
-            sizes[-1] += 1
+        for i, c in enumerate(classes):
+            for v in c:
+                comp[v] = i
         self.component = tuple(comp)
-        self.component_sizes = tuple(sizes)
-        if validate:
-            if len(self.edges) != n - self.k:
-                raise ValueError(
-                    f"edge count {len(self.edges)} does not match "
-                    f"{self.k} components on {n} vertices (acyclicity broken)"
-                )
+        self.component_sizes = tuple(len(c) for c in classes)
+        if len(self.edges) != n - self.k:
+            raise ValueError(
+                f"edge count {len(self.edges)} does not match "
+                f"{self.k} components on {n} vertices (acyclicity broken)"
+            )
 
     @property
     def k(self) -> int:
@@ -59,14 +55,8 @@ class KForest:
     def is_balanced(self) -> bool:
         return len(set(self.component_sizes)) == 1
 
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.component_sizes]
-        for v, c in enumerate(self.component):
-            out[c].append(v)
-        return out
-
     def partition(self) -> Partition:
-        return Partition(self.host, self.classes())
+        return Partition(self.host, forest_classes(self.host, self.edges))
 
 
 class UpDownWalker:
@@ -108,7 +98,7 @@ class UpDownWalker:
         return list(self.forest)
 
     def snapshot(self) -> KForest:
-        return KForest(self.host, self.forest, validate=False)
+        return KForest(self.host, self.forest)
 
     def _swap_in(self, e: int, f: int) -> None:
         """Move e from nonforest to forest and f the other way."""
@@ -352,7 +342,7 @@ def partition_json_dict(
         "n": n,
         "k": p.k,
         "seed": list(seed) if seed is not None else None,
-        "classes": [sorted(c) for c in p.classes],
+        "classes": [list(c) for c in p.classes],
         "cut_edges": sorted(p.cut_edges) if p.cut_edges is not None else None,
         "rounds": rounds,
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .planar import SpanningTree, root_forest, subtree_sizes
+from .planar import SpanningTree, forest_classes, root_forest
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,7 @@ def component_sizes(t: SpanningTree, cut_edges) -> tuple[int, ...]:
     extra = cut - t.edges
     if extra:
         raise ValueError(f"edges {sorted(extra)} are not in the tree")
-    parent, _, order = root_forest(t.host.num_vertices, t.host.edges, t.edges - cut)
-    size = subtree_sizes(parent, order)
-    sizes = tuple(size[x] for x in order if parent[x] < 0)
+    sizes = tuple(len(c) for c in forest_classes(t.host, t.edges - cut))
     assert len(sizes) == len(cut) + 1
     return sizes
 

@@ -178,8 +178,8 @@ def test_cli_bad_input_is_one_line_error(args, tmp_path, capsys):
         main(args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("treesplit: error: ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("treesplit: error: ")
 
 
 def test_sample_byte_identical(tmp_path):

@@ -26,11 +26,14 @@ from treesplit.planar import (
     dual_tree,
     embedding_from_json,
     embedding_to_json,
+    forest_classes,
     grid_vertex,
     primal_tree,
     root_forest,
     subtree_sizes,
 )
+from treesplit.rng import RngStream
+from treesplit.walks import wilson
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -318,6 +321,33 @@ def test_partition_tree_counts_and_contraction():
     assert p.class_sizes() == (2, 2)
 
 
+@st.composite
+def grid_tree_cuts(draw):
+    """(tree, cut): a Wilson tree of a grid with at most 17 edges and a set of its edges."""
+    g = build_grid(draw(st.integers(2, 4)), draw(st.integers(2, 3)))
+    t = wilson(g, rng=RngStream(draw(st.integers(0, 2**32 - 1)), (0,)))
+    cut = draw(st.sets(st.sampled_from(sorted(t.edges))))
+    return t, cut
+
+
+@settings(deadline=None, max_examples=60)
+@given(grid_tree_cuts())
+def test_partition_from_tree_cut_matches_oracles(case):
+    t, cut = case
+    g = t.host
+    p = Partition.from_tree_cut(t, cut)
+    comps = forest_components(g, t.edges - cut)
+    assert p.classes == comps
+    assert p.key() == comps
+    assert p.class_tree_counts == tuple(
+        len(enumerate_spanning_trees(g.induced_subgraph(c))) for c in comps
+    )
+    label = {v: i for i, c in enumerate(comps) for v in c}
+    crossing = sum(1 for u, v in g.edges if label[u] != label[v])
+    assert p.contraction.num_vertices == len(comps)
+    assert p.contraction.num_edges == crossing
+
+
 def test_partition_from_tree_cut():
     g = build_grid(2, 3)
     t_edges = next(iter(enumerate_spanning_trees(g)))
@@ -391,7 +421,9 @@ def forests(draw):
 def test_root_forest_matches_component_oracle(case):
     n, pairs, edges = case
     parent, parent_edge, order = root_forest(n, pairs, edges)
-    comps = forest_components(Multigraph(n, pairs), frozenset(edges))
+    g = Multigraph(n, pairs)
+    comps = forest_components(g, frozenset(edges))
+    assert forest_classes(g, edges) == comps
     assert sorted(order) == list(range(n))
     groups: list[list[int]] = []
     for x in order:

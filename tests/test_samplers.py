@@ -13,7 +13,10 @@ from treesplit.enumeration import (
     enumerate_k_forests,
     forest_components,
 )
-from treesplit.planar import Multigraph, build_grid
+import treesplit.planar
+import treesplit.samplers
+from treesplit.lattice import compatibility_experiment, vertical_strips
+from treesplit.planar import Multigraph, build_grid, count_spanning_trees
 from treesplit.rng import RngStream
 from treesplit.samplers import (
     KForest,
@@ -59,6 +62,42 @@ def test_kforest_rejects_cycle():
     g = cycle_graph(3)
     with pytest.raises(ValueError):
         KForest(g, [0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# Tree counts are computed only where they are read
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def tree_count_calls(monkeypatch):
+    """Number of count_spanning_trees calls made through samplers or planar."""
+    calls = [0]
+
+    def counting(g):
+        calls[0] += 1
+        return count_spanning_trees(g)
+
+    monkeypatch.setattr(treesplit.samplers, "count_spanning_trees", counting)
+    monkeypatch.setattr(treesplit.planar, "count_spanning_trees", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m,n,k", [(4, 4, 2), (3, 3, 3)])
+def test_perfect_sampler_counts_trees_once_per_splittable_round(m, n, k, tree_count_calls):
+    g = build_grid(m, n)
+    splittable = 0
+    for seed in range(5):
+        _, report = perfect_balanced_sample(g, k, RngStream(seed, (7,)))
+        splittable += report.rounds_attempted - report.rejections.get("not_splittable", 0)
+    assert splittable > 5
+    assert tree_count_calls[0] == splittable
+
+
+def test_compatibility_k3_counts_no_trees(tree_count_calls):
+    exp = compatibility_experiment("square", 6, vertical_strips(3), 0.25, trials=6, seed=3)
+    assert exp.splittable_successes > 0
+    assert tree_count_calls[0] == 0
 
 
 # ---------------------------------------------------------------------------
