@@ -39,7 +39,6 @@ from .samplers import (
     SamplerReport,
     approx_balanced_sample,
     perfect_balanced_sample,
-    updown_step,
 )
 from .dynforest import LinkCutForest, NaiveForest
 from .lattice import (
@@ -93,7 +92,6 @@ __all__ = [
     "loop_erased_walk",
     "perfect_balanced_sample",
     "primal_tree",
-    "updown_step",
     "vertical_strips",
     "wilson",
     "wilson_on_dual",

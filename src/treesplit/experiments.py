@@ -286,17 +286,10 @@ def _walk_chunk(args):
     (x_lo, x_hi, y_lo, y_hi), start, success = _BOX_WALKS[geometry](params)
     successes = 0
     for t in range(lo, hi):
-        rng = RngStream(seed, (t,))
-        buf = rng.block()
-        bi = 0
-        blen = len(buf)
+        draws = RngStream(seed, (t,)).uniforms()
         x, y = start
         while x_lo <= x <= x_hi and y_lo <= y <= y_hi:
-            if bi == blen:
-                buf = rng.block()
-                bi = 0
-            dx, dy = _STEPS[int(buf[bi] * 4)]
-            bi += 1
+            dx, dy = _STEPS[int(next(draws) * 4)]
             x += dx
             y += dy
         successes += success(x, y)

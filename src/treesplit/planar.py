@@ -51,15 +51,8 @@ class Multigraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.nbr[v])
-
     def is_connected(self) -> bool:
         return len(forest_classes(self, range(self.num_edges))) == 1
-
-    def other_endpoint(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        return w if v == u else u
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Multigraph":
         """Subgraph on ``vertices`` with ids remapped in sorted order."""
@@ -240,13 +233,6 @@ def grid_vertical_edge(m: int, n: int, i: int, j: int) -> int:
     if not (0 <= i < m and 0 <= j < n - 1):
         raise ValueError(f"no vertical edge at ({i}, {j}) in a {m}x{n} grid")
     return n * (m - 1) + j * m + i
-
-
-def grid_horizontal_edge(m: int, n: int, i: int, j: int) -> int:
-    """Edge id of the horizontal edge from (i, j) to (i+1, j), 0-based."""
-    if not (0 <= i < m - 1 and 0 <= j < n):
-        raise ValueError(f"no horizontal edge at ({i}, {j}) in a {m}x{n} grid")
-    return j * (m - 1) + i
 
 
 class DualGraph(Multigraph):
@@ -509,11 +495,20 @@ class Partition:
 
     @classmethod
     def from_tree_cut(cls, t: SpanningTree, cut_edges: Iterable[int]) -> "Partition":
+        """The classes of tree ``t`` minus ``cut_edges``.
+
+        They are disjoint, covering and connected by construction, so they
+        are not validated again.
+        """
         cut = frozenset(int(e) for e in cut_edges)
         missing = cut - t.edges
         if missing:
             raise ValueError(f"cut edges {sorted(missing)} are not in the tree")
-        return cls(t.host, forest_classes(t.host, t.edges - cut), cut_edges=cut)
+        p = cls.__new__(cls)
+        p.host = t.host
+        p.classes = forest_classes(t.host, t.edges - cut)
+        p.cut_edges = cut
+        return p
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterator
+
 import numpy as np
 
 BLOCK = 4096
@@ -33,12 +36,19 @@ class RngStream:
         return RngStream(self.seed, self.stream + key)
 
     def block(self, n: int = BLOCK) -> list[float]:
-        """Next ``n`` uniform draws in [0, 1) as plain Python floats.
-
-        Walk loops fetch blocks and index locally; each decision consumes
-        one draw, and unused tail draws are discarded at end of use.
-        """
+        """Next ``n`` uniform draws in [0, 1) as plain Python floats."""
         return self._gen.random(n).tolist()
+
+    def uniforms(self) -> Iterator[float]:
+        """Endless uniform draws in [0, 1), filled ``BLOCK`` at a time.
+
+        The first block is fetched at once, so a use that draws nothing still
+        advances the stream by one block; the unused tail of the last block is
+        discarded when the iterator is dropped. Walk loops take one draw per
+        decision with ``next``. A C-level chain, not a generator, keeps a draw
+        cheaper than indexing a block by hand.
+        """
+        return chain.from_iterable(chain((self.block(),), iter(self.block, None)))
 
     def unit(self) -> float:
         """Single uniform draw in [0, 1)."""

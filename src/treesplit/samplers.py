@@ -59,16 +59,24 @@ class KForest:
         return Partition(self.host, forest_classes(self.host, self.edges))
 
 
+# Up-down steps on square grids cost the same on both dynamic forests at 144
+# vertices (12x12); below it the naive forest's short paths are cheaper, above
+# it the link-cut forest's O(log n) paths are.
+LINKCUT_MIN_VERTICES = 144
+
+
 class UpDownWalker:
     """Mutable up-down chain state over k-forests of a host graph.
 
     One step: draw a uniform non-forest edge e; if its endpoints are already
     connected, remove a uniform edge of the created cycle (possibly e), else
     remove a uniform edge of the enlarged forest (possibly e). The dynamic
-    forest sees at most one cut and one link per step.
+    forest sees at most one cut and one link per step. Both backends walk the
+    same trajectory; ``use_linkcut=None`` picks the cheaper one for the host's
+    vertex count, and True or False forces one.
     """
 
-    def __init__(self, host: Multigraph, forest_edges, df=None, use_linkcut: bool = True):
+    def __init__(self, host: Multigraph, forest_edges, use_linkcut: bool | None = None):
         self.host = host
         m = host.num_edges
         self.in_forest = bytearray(m)
@@ -82,12 +90,13 @@ class UpDownWalker:
             self.pos_f[e] = i
         for i, e in enumerate(self.nonforest):
             self.pos_nf[e] = i
-        if df is None:
-            df = LinkCutForest(host.num_vertices) if use_linkcut else NaiveForest(host.num_vertices)
-            for e in self.forest:
-                u, v = host.edges[e]
-                df.link(u, v, e)
-        self.df = df
+        n = host.num_vertices
+        if use_linkcut is None:
+            use_linkcut = n >= LINKCUT_MIN_VERTICES
+        self.df = df = LinkCutForest(n) if use_linkcut else NaiveForest(n)
+        for e in self.forest:
+            u, v = host.edges[e]
+            df.link(u, v, e)
         self.steps_taken = 0
 
     @property
@@ -125,22 +134,14 @@ class UpDownWalker:
         edges = self.host.edges
         nonforest = self.nonforest
         forest = self.forest
-        buf = rng.block()
-        bi = 0
-        blen = len(buf)
+        draws = rng.uniforms()
         for _ in range(steps):
-            if bi + 2 > blen:
-                buf = rng.block()
-                bi = 0
-                blen = len(buf)
-            r1 = buf[bi]
-            r2 = buf[bi + 1]
-            bi += 2
-            e = nonforest[int(r1 * len(nonforest))]
+            e = nonforest[int(next(draws) * len(nonforest))]
+            r = next(draws)
             u, v = edges[e]
             cycle = df.path_or_none(u, v)
             if cycle is not None:
-                j = int(r2 * (len(cycle) + 1))
+                j = int(r * (len(cycle) + 1))
                 if j < len(cycle):
                     x, y, handle = cycle[j]
                     f = df.edge_payload(handle)
@@ -148,7 +149,7 @@ class UpDownWalker:
                     df.link(u, v, e)
                     self._swap_in(e, f)
             else:
-                j = int(r2 * (len(forest) + 1))
+                j = int(r * (len(forest) + 1))
                 if j < len(forest):
                     f = forest[j]
                     x, y = edges[f]
@@ -161,17 +162,6 @@ class UpDownWalker:
             self.steps_taken += 1
             if on_state is not None:
                 on_state(self)
-
-
-def updown_step(f: KForest, df, rng: RngStream) -> KForest:
-    """One up-down transition from forest ``f`` whose edges are loaded in ``df``.
-
-    The dynamic forest is updated in place; the successor forest is returned
-    as a fresh KForest.
-    """
-    walker = UpDownWalker(f.host, f.edges, df=df)
-    walker.run(1, rng)
-    return walker.snapshot()
 
 
 @dataclass
@@ -289,7 +279,6 @@ def approx_balanced_sample(
     mixing_multiplier: float = 10.0,
     max_rounds: int = 100_000,
     start: KForest | None = None,
-    use_linkcut: bool = True,
 ) -> tuple[Partition, SamplerReport]:
     """Up-down chain with rejection: mix, test balance, repeat.
 
@@ -309,7 +298,7 @@ def approx_balanced_sample(
     t0 = time.perf_counter()
     if start is None:
         start = initial_forest(g, k, rng)
-    walker = UpDownWalker(g, start.edges, use_linkcut=use_linkcut)
+    walker = UpDownWalker(g, start.edges)
     while report.rounds_attempted < max_rounds:
         report.rounds_attempted += 1
         walker.run(steps_per_round, rng)

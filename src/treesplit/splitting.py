@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .planar import SpanningTree, forest_classes, root_forest
+from .planar import SpanningTree, forest_classes, root_forest, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -243,13 +243,22 @@ def find_min_imbalance_split(t: SpanningTree, k: int) -> SplitResult:
     """A (k-1)-edge cut minimizing max minus min component size.
 
     Ties are broken toward the lexicographically smallest sorted edge-id
-    set, found by greedy feasibility checks edge by edge.
+    set, found by greedy feasibility checks edge by edge. For k=2 the cut is
+    one edge, so one rooting gives every candidate's sizes.
     """
     n = t.host.num_vertices
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k == 1:
         return SplitResult(frozenset(), (n,))
+    if k == 2:
+        parent, parent_e, order = root_forest(n, t.host.edges, t.edges)
+        size = subtree_sizes(parent, order)
+        _, e, below = min(
+            (abs(n - 2 * size[x]), parent_e[x], size[x]) for x in order if parent[x] >= 0
+        )
+        # the root, vertex 0, is the smallest vertex and stays above the cut
+        return SplitResult(frozenset({e}), (n - below, below))
     best_delta = None
     for delta in range(n):
         if any(

@@ -1,7 +1,7 @@
 """Seeded random walks, loop erasure, and Wilson tree sampling.
 
-All walk loops draw buffered uniforms from an RngStream; each step consumes
-exactly one draw, so a (seed, stream) pair pins the full trajectory.
+All walk loops draw from ``RngStream.uniforms``; each step consumes exactly
+one draw, so a (seed, stream) pair pins the full trajectory.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .planar import DualGraph, Multigraph, PlanarEmbedding, SpanningTree, compute_dual
 from .rng import RngStream
@@ -77,11 +77,6 @@ def _absorb_mask(g: Multigraph, absorb: Iterable[int]) -> bytearray:
     return mask
 
 
-def _new_cursor(rng: RngStream) -> list:
-    """Draw cursor [buffer, position] so callers share one continuous stream."""
-    return [rng.block(), 0]
-
-
 def loop_erased_walk(
     g: Multigraph,
     start: int,
@@ -89,7 +84,7 @@ def loop_erased_walk(
     rng: RngStream,
     record: bool = False,
     budget: int = STEP_BUDGET,
-    _cursor: list | None = None,
+    _draws: Iterator[float] | None = None,
 ) -> WalkTrace:
     """Loop-erased random walk from ``start`` to its first absorbed vertex.
 
@@ -106,19 +101,10 @@ def loop_erased_walk(
     loops: list[tuple[int, tuple[int, ...]]] | None = [] if record else None
     steps = 0
     v = start
-    cur = _new_cursor(rng) if _cursor is None else _cursor
-    buf, bi = cur
-    blen = len(buf)
+    draws = rng.uniforms() if _draws is None else _draws
     while not mask[v]:
-        if bi == blen:
-            buf = rng.block()
-            cur[0] = buf
-            blen = len(buf)
-            bi = 0
-        r = buf[bi]
-        bi += 1
         lst = nbrs[v]
-        k = int(r * len(lst))
+        k = int(next(draws) * len(lst))
         w = lst[k]
         e = iedges[v][k]
         steps += 1
@@ -142,7 +128,6 @@ def loop_erased_walk(
             del path[j + 1 :]
             del path_e[j:]
         v = w
-    cur[1] = bi
     return WalkTrace(path, path_e, steps, raw, loops)
 
 
@@ -169,7 +154,7 @@ class WilsonSampler:
         starts: Sequence[int] | None = None,
         in_tree: bytearray | None = None,
         walk_log: list | None = None,
-        _cursor: list | None = None,
+        _draws: Iterator[float] | None = None,
     ) -> tuple[list[int], int]:
         """One uniform spanning tree as an edge-id list, plus raw step count.
 
@@ -191,9 +176,7 @@ class WilsonSampler:
             tree_edges = []
         remaining = n - sum(in_tree)
         steps_total = 0
-        cur = _new_cursor(rng) if _cursor is None else _cursor
-        buf, bi = cur
-        blen = len(buf)
+        draws = rng.uniforms() if _draws is None else _draws
         schedule = list(starts) if starts else []
         schedule_iter = iter(schedule + list(range(n)))
         walk_index = 0
@@ -205,15 +188,8 @@ class WilsonSampler:
             x = s
             steps = 0
             while not in_tree[x]:
-                if bi == blen:
-                    buf = rng.block()
-                    cur[0] = buf
-                    blen = len(buf)
-                    bi = 0
-                r = buf[bi]
-                bi += 1
                 lst = nbrs[x]
-                k = int(r * len(lst))
+                k = int(next(draws) * len(lst))
                 nxt_v[x] = w = lst[k]
                 nxt_e[x] = iedges[x][k]
                 steps += 1
@@ -239,7 +215,6 @@ class WilsonSampler:
                     }
                 )
             walk_index += 1
-        cur[1] = bi
         return tree_edges, steps_total
 
 
@@ -420,7 +395,7 @@ def wilson_phased(
         raise ValueError("wilson_phased expects a dual with a wired boundary root")
     walk_rng = rng.substream(0)
     sched_rng = rng.substream(1)
-    walk_cursor = _new_cursor(walk_rng)
+    walk_draws = walk_rng.uniforms()
     n = dual.num_vertices
     in_tree = bytearray(n)
     in_tree[dual.root] = 1
@@ -429,9 +404,7 @@ def wilson_phased(
     report = PhasedReport(phases=[])
     sampler = WilsonSampler(dual, dual.root)
 
-    sbuf = sched_rng.block()
-    sbi = 0
-    sblen = len(sbuf)
+    sched_draws = sched_rng.uniforms()
     nbrs = dual.nbr
 
     for phase in plan.phases:
@@ -453,14 +426,8 @@ def wilson_phased(
             if in_tree[v]:
                 # schedule walk: plain steps inside the tree until we exit it
                 while in_tree[v]:
-                    if sbi == sblen:
-                        sbuf = sched_rng.block()
-                        sblen = len(sbuf)
-                        sbi = 0
-                    r = sbuf[sbi]
-                    sbi += 1
                     lst = nbrs[v]
-                    v = lst[int(r * len(lst))]
+                    v = lst[int(next(sched_draws) * len(lst))]
                     outcome.schedule_steps += 1
                     if tube is not None and tube_ok and not tube(v):
                         tube_ok = False
@@ -468,7 +435,7 @@ def wilson_phased(
             report.induced_starts.append(v)
             trace = loop_erased_walk(
                 dual, v, in_tree, walk_rng, record=tube is not None,
-                _cursor=walk_cursor,
+                _draws=walk_draws,
             )
             outcome.lerw_steps += trace.step_count
             if tube is not None and tube_ok:
@@ -492,7 +459,7 @@ def wilson_phased(
 
     if complete and remaining > 0:
         edges, steps = sampler.sample_edges(
-            walk_rng, in_tree=in_tree, _cursor=walk_cursor
+            walk_rng, in_tree=in_tree, _draws=walk_draws
         )
         tree_edges.extend(edges)
         report.total_lerw_steps += steps

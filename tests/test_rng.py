@@ -31,6 +31,17 @@ def test_int_stream_key_normalized():
     assert RngStream(5, 3).block(8) == RngStream(5, (3,)).block(8)
 
 
+def test_uniforms_continue_across_blocks_and_drop_the_tail():
+    reference = RngStream(21, (3,)).block(8192)
+    draws = RngStream(21, (3,)).uniforms()
+    assert [next(draws) for _ in range(4096 + 10)] == reference[:4106]
+    # the first block is fetched when the iterator is made; dropping the
+    # iterator after one draw discards the other 4095
+    rng = RngStream(21, (3,))
+    next(rng.uniforms())
+    assert rng.block(4) == reference[4096:4100]
+
+
 def test_rand_below_small_uniform():
     rng = RngStream(11)
     counts = Counter(rng.rand_below(5) for _ in range(50_000))

@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-from treesplit.dynforest import LinkCutForest
 from treesplit.enumeration import (
     balanced_partition_weights,
     enumerate_k_forests,
@@ -26,7 +25,6 @@ from treesplit.samplers import (
     initial_forest,
     partition_json_dict,
     perfect_balanced_sample,
-    updown_step,
 )
 
 FULL = os.environ.get("TREESPLIT_FULL") == "1"
@@ -101,7 +99,7 @@ def test_compatibility_k3_counts_no_trees(tree_count_calls):
 
 
 # ---------------------------------------------------------------------------
-# updown_step
+# single up-down steps
 # ---------------------------------------------------------------------------
 
 
@@ -109,12 +107,10 @@ def test_updown_step_preserves_forest_shape():
     g = build_grid(3, 3)
     rng = RngStream(3)
     f = initial_forest(g, 3, rng)
-    df = LinkCutForest(g.num_vertices)
-    for e in f.edges:
-        u, v = g.edges[e]
-        df.link(u, v, e)
+    walker = UpDownWalker(g, f.edges)
     for _ in range(200):
-        f = updown_step(f, df, rng)
+        walker.run(1, rng)
+        f = walker.snapshot()
         assert f.k == 3
         assert len(f.edges) == g.num_vertices - 3
 
@@ -127,12 +123,9 @@ def test_updown_cycle_edge_removed_uniformly():
     removed = Counter()
     trials = 100_000
     for t in range(trials):
-        f = KForest(g, start)
-        df = LinkCutForest(4)
-        for e in start:
-            u, v = g.edges[e]
-            df.link(u, v, e)
-        nxt = updown_step(f, df, RngStream(17, t))
+        walker = UpDownWalker(g, start, use_linkcut=True)
+        walker.run(1, RngStream(17, t))
+        nxt = walker.snapshot()
         gone = set(start + [3]) - nxt.edges
         assert len(gone) == 1
         removed[gone.pop()] += 1
@@ -257,7 +250,7 @@ def test_approx_distribution_smoke():
     mixing = 10.0
     for t in range(accepts):
         p, _ = approx_balanced_sample(
-            g, 2, RngStream(57, t), mixing_multiplier=mixing, use_linkcut=False
+            g, 2, RngStream(57, t), mixing_multiplier=mixing
         )
         counts[p.key()] += 1
     assert tv_to_weights(counts, weights) < tol

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import treesplit.splitting
 from treesplit.planar import Multigraph, SpanningTree, build_grid
 from treesplit.rng import RngStream
 from treesplit.splitting import (
@@ -270,6 +271,30 @@ def test_min_imbalance_matches_brute_force():
             res = find_min_imbalance_split(t, k)
             assert res.imbalance == brute_min_imbalance(t, k)
             assert component_sizes(t, res.cut_edges) == res.component_sizes
+        # k=2 witness: the smallest edge id among the minimising single cuts
+        best = min(
+            sorted(t.edges),
+            key=lambda e: max(component_sizes(t, [e])) - min(component_sizes(t, [e])),
+        )
+        assert find_min_imbalance_split(t, 2).cut_edges == frozenset({best})
+
+
+def test_min_imbalance_k2_runs_no_window_dp(monkeypatch):
+    built = [0]
+
+    class CountingDP(treesplit.splitting._WindowDP):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(treesplit.splitting, "_WindowDP", CountingDP)
+    g = build_grid(6, 6)
+    t = wilson(g, rng=RngStream(5))
+    res = find_min_imbalance_split(t, 2)
+    assert built[0] == 0
+    assert res.imbalance == brute_min_imbalance(t, 2)
+    find_min_imbalance_split(t, 3)
+    assert built[0] > 0
 
 
 def test_min_imbalance_lexicographic_ties():
