@@ -23,7 +23,7 @@ from .experiments import (
     walk_bound_run,
     wilson_scaling,
 )
-from .lattice import compatibility_experiment, halved_square, plane_graph_from_json, vertical_strips
+from .lattice import compatibility_experiment, plane_graph_from_json, vertical_strips
 from .planar import build_grid
 from .rng import RngStream
 from .samplers import (
@@ -279,10 +279,8 @@ def cmd_lattice(args) -> int:
     if args.drawing:
         with open(args.drawing) as fh:
             d = plane_graph_from_json(fh.read())
-    elif args.strips > 1:
-        d = vertical_strips(args.strips)
     else:
-        d = halved_square()
+        d = vertical_strips(args.strips)
     exp = compatibility_experiment(
         args.kind, args.n, d, args.epsilon, args.trials, args.seed,
         delta=args.delta,
@@ -414,13 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        parser.error("--trials must be at least 1")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be at least 1")
-    if getattr(args, "count", 1) < 1:
-        parser.error("--count must be at least 1")
     try:
+        for flag in ("trials", "workers", "count", "bin_size"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         return args.func(args)
     except ValueError as exc:  # the library's bad-input type
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

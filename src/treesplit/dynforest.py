@@ -242,7 +242,7 @@ class LinkCutForest:
         """Fused connectivity plus path query for the up-down hot loop.
 
         Returns (endpoint, endpoint, edge node id) triples, or None when the
-        endpoints are in different trees. Pair with :meth:`cut_edge_node`.
+        endpoints are in different trees.
         """
         if u == v:
             return []
@@ -255,17 +255,6 @@ class LinkCutForest:
             for i in range(1, len(items) - 1)
             if items[i] >= n
         ]
-
-    def cut_edge_node(self, x: int, y: int, en: int) -> int | None:
-        """Cut via a node id obtained from :meth:`path_or_none`."""
-        stored = self._edge_at.pop(self._key(x, y), None)
-        assert stored == en, "edge registry out of sync with path extraction"
-        self._make_root(x)
-        self._access(y)
-        return self._cut_node(en)
-
-    def edge_payload(self, en: int) -> int | None:
-        return self._payload[en]
 
 
 class NaiveForest:
@@ -331,9 +320,3 @@ class NaiveForest:
             return self.path_edges(u, v)
         except CutError:
             return None
-
-    def cut_edge_node(self, x: int, y: int, en: int | None) -> int | None:
-        return self.cut(x, y)
-
-    def edge_payload(self, en: int | None) -> int | None:
-        return en

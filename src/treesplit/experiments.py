@@ -213,6 +213,8 @@ class HistogramResult:
 
     def bins(self, bin_size: int) -> list[tuple[int, int, int]]:
         """(size_lo, size_hi, count) rows over 1..N-1 inclusive."""
+        if bin_size < 1:
+            raise ValueError("bin size must be at least 1")
         out = []
         lo = 1
         nmax = len(self.counts) - 2  # below-component size is at most N-1

@@ -11,16 +11,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .planar import (
     DualGraph,
     DualityError,
-    Partition,
     PlanarEmbedding,
     SpanningTree,
     compute_dual,
+    forest_classes,
     root_forest,
 )
 from .rng import RngStream
@@ -29,6 +30,9 @@ from .stats import wilson_score_interval
 from .walks import DualWilsonSampler
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
+
+# approximate-split size windows tried, in order, for k >= 3 compatible cuts
+SIZE_WINDOWS = (0.1, 0.25, 0.5)
 
 
 class RegionError(ValueError):
@@ -232,15 +236,6 @@ class PlaneGraphD:
         if chain[0] == chain[-1]:
             chain.pop()
         return Polyline(tuple(chain), closed=True)
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        arr = self.outer_boundary().as_array()
-        return (
-            float(arr[:, 0].min()),
-            float(arr[:, 1].min()),
-            float(arr[:, 0].max()),
-            float(arr[:, 1].max()),
-        )
 
 
 def plane_graph_to_json(d: PlaneGraphD) -> str:
@@ -482,6 +477,8 @@ class LatticeRegion:
     dual: DualGraph
     boundary_cycle: np.ndarray  # dual cycle vertex positions, in order
     achieved_hausdorff: float
+    drawing: PlaneGraphD  # the drawing the region is clipped to
+    face_distance: np.ndarray  # (V, k): vertex distance to each inner face
 
 
 def _remove_spurs(cells: list) -> list:
@@ -545,7 +542,8 @@ def build_lattice_region(kind: str, n: int, d: PlaneGraphD, delta: float) -> Lat
     if n < 1:
         raise ValueError("refinement n must be positive")
     boundary = d.outer_boundary()
-    bbox = d.bounding_box()
+    corners = boundary.as_array()
+    bbox = (*corners.min(axis=0).tolist(), *corners.max(axis=0).tolist())
     lat = _GENERATORS[kind](n, bbox)
     cycle_cells = _trace_boundary_cells(lat, boundary)
     cycle_pts = np.asarray([lat.cell_centers[c] for c in cycle_cells], dtype=float)
@@ -592,6 +590,10 @@ def build_lattice_region(kind: str, n: int, d: PlaneGraphD, delta: float) -> Lat
         raise RegionError(
             f"clipped region is too thin for a wired dual at n={n}: {exc}"
         ) from exc
+    points = np.asarray(coords, dtype=float)
+    face_distance = np.stack(
+        [point_to_polygon_distance(points, poly) for poly in d.face_polygons()], axis=1
+    )
     return LatticeRegion(
         kind=kind,
         n=n,
@@ -600,6 +602,8 @@ def build_lattice_region(kind: str, n: int, d: PlaneGraphD, delta: float) -> Lat
         dual=dual,
         boundary_cycle=cycle_pts,
         achieved_hausdorff=achieved,
+        drawing=d,
+        face_distance=face_distance,
     )
 
 
@@ -613,45 +617,32 @@ class CompatibilityResult:
     assignment: tuple[int, ...]  # class index -> face index
 
 
-def _assignments(k: int):
-    from itertools import permutations
-
-    return permutations(range(k))
-
-
 def epsilon_compatible(
     region: LatticeRegion,
     classes,
-    d: PlaneGraphD,
     epsilon: float,
     assignment: tuple[int, ...] | None = None,
 ) -> CompatibilityResult:
     """Check every vertex of each class sits within epsilon of its face.
 
-    Classes are matched to faces by the given assignment, or by exhausting
-    assignments to minimize the total vertex-to-face distance (k stays small).
+    Distances are read from the region's face-distance table. Classes are
+    matched to faces by the given assignment, or by exhausting assignments
+    to minimize the total vertex-to-face distance (k stays small); the first
+    minimizing permutation in lexicographic order wins a tie.
     """
-    faces = d.face_polygons()
-    k = len(faces)
+    dist = region.face_distance
+    k = dist.shape[1]
     classes = [sorted(c) for c in classes]
     if len(classes) != k:
         raise ValueError(f"{len(classes)} classes but drawing has {k} inner faces")
-    coords = np.asarray(region.region.coords, dtype=float)
-    dist = np.stack(
-        [point_to_polygon_distance(coords, poly) for poly in faces], axis=1
-    )  # (V, k)
     sums = np.stack(
         [np.asarray([dist[c, f].sum() for f in range(k)]) for c in classes]
     )  # class x face total distance
     if assignment is None:
-        best = None
-        best_total = math.inf
-        for perm in _assignments(k):
-            total = sum(sums[i][perm[i]] for i in range(k))
-            if total < best_total:
-                best_total = total
-                best = perm
-        assignment = tuple(best)
+        assignment = min(
+            permutations(range(k)),
+            key=lambda perm: sum(sums[i][perm[i]] for i in range(k)),
+        )
     maxes = tuple(
         float(dist[classes[i], assignment[i]].max()) for i in range(k)
     )
@@ -734,7 +725,6 @@ def compatibility_experiment(
     seed: int,
     delta: float | None = None,
     region: LatticeRegion | None = None,
-    size_windows: tuple[float, ...] = (0.1, 0.25, 0.5),
 ) -> CompatibilityExperiment:
     """Frequencies of compatible and approximately balanced cuts over trees.
 
@@ -742,19 +732,22 @@ def compatibility_experiment(
     tree: a cut whose classes are epsilon-compatible with the drawing, and a
     cut whose class sizes all land within (1 +- epsilon) * N/k. For two-face
     drawings the single-cut scans are exhaustive via subtree counts; for more
-    faces the compatible search tests approximate-split candidates at several
-    size windows, so the compatible frequency is then a lower bound.
+    faces the compatible search tests approximate-split candidates at the
+    ``SIZE_WINDOWS``, so the compatible frequency is then a lower bound.
+
+    A prebuilt ``region`` must be clipped to ``d``.
     """
     if region is None:
         region = build_lattice_region(kind, n, d, delta if delta is not None else 3.0 / n)
+    elif region.drawing != d:
+        raise ValueError("region was clipped to a different drawing")
     g = region.region
     k = d.num_inner_faces
-    coords = np.asarray(g.coords, dtype=float)
-    faces = d.face_polygons()
-    far = [point_to_polygon_distance(coords, poly) > epsilon for poly in faces]
+    far = region.face_distance > epsilon
     nv = g.num_vertices
     size_lo = math.ceil((1 - epsilon) * nv / k - 1e-9)
     size_hi = math.floor((1 + epsilon) * nv / k + 1e-9)
+    eps_size = min(max(epsilon, 1e-9), 1.0 - 1e-9)
     sampler = DualWilsonSampler(g, region.dual)
     successes = 0
     sized_successes = 0
@@ -766,27 +759,22 @@ def compatibility_experiment(
             continue
         if k == 2:
             compat, sized = _two_face_tree_scan(
-                region, far[0], far[1], size_lo, size_hi, tree_edges
+                region, far[:, 0], far[:, 1], size_lo, size_hi, tree_edges
             )
             successes += compat
             sized_successes += sized
             continue
         tree = SpanningTree(g, tree_edges, validate=False)
-        eps_size = min(max(epsilon, 1e-9), 1.0 - 1e-9)
-        if find_approx_split(tree, k, eps_size) is not None:
-            sized_successes += 1
-        hit = False
-        for win in size_windows:
-            split = find_approx_split(tree, k, win)
+        sized = find_approx_split(tree, k, eps_size)
+        sized_successes += sized is not None
+        for win in SIZE_WINDOWS:
+            split = sized if win == eps_size else find_approx_split(tree, k, win)
             if split is None:
                 continue
-            parts = Partition.from_tree_cut(tree, split.cut_edges)
-            res = epsilon_compatible(region, parts.classes, d, epsilon)
-            if res.compatible:
-                hit = True
+            classes = forest_classes(g, tree.edges - split.cut_edges)
+            if epsilon_compatible(region, classes, epsilon).compatible:
+                successes += 1
                 break
-        if hit:
-            successes += 1
     lo, hi = wilson_score_interval(successes, trials)
     slo, shi = wilson_score_interval(sized_successes, trials)
     return CompatibilityExperiment(

@@ -143,9 +143,8 @@ class UpDownWalker:
             if cycle is not None:
                 j = int(r * (len(cycle) + 1))
                 if j < len(cycle):
-                    x, y, handle = cycle[j]
-                    f = df.edge_payload(handle)
-                    df.cut_edge_node(x, y, handle)
+                    x, y, _ = cycle[j]
+                    f = df.cut(x, y)
                     df.link(u, v, e)
                     self._swap_in(e, f)
             else:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from treesplit.cli import main
-from treesplit.experiments import vertical_edge_classes
+from treesplit.experiments import HistogramResult, vertical_edge_classes
 
 
 def run_cli(args, capsys=None):
@@ -170,6 +170,8 @@ def test_cli_rejects_bad_trials():
     ["sample", "--m", "3", "--n", "3", "--k", "2"],
     ["sample", "--m", "1"],
     ["walk-bounds", "--j0", "99"],
+    ["histogram", "--bin-size", "0"],
+    ["lattice", "--strips", "0", "--trials", "10"],
 ])
 def test_cli_bad_input_is_one_line_error(args, tmp_path, capsys):
     if args[0] in ("heatmap", "histogram"):
@@ -180,6 +182,21 @@ def test_cli_bad_input_is_one_line_error(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("treesplit: error: ")
+
+
+def test_histogram_bins_rejects_nonpositive_size():
+    result = HistogramResult(m=2, n=2, edge=(0, 0), trials=1, counts=[0] * 5, in_tree=0)
+    with pytest.raises(ValueError):
+        result.bins(0)
+
+
+def test_lattice_one_strip_is_always_compatible(capsys):
+    # the one-face drawing admits every tree: its single class is the region
+    assert main(["lattice", "--kind", "square", "--n", "8", "--strips", "1",
+                 "--trials", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "compatible 1.0000 " in out
+    assert "approx-splittable 1.0000 " in out
 
 
 def test_sample_byte_identical(tmp_path):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from treesplit import lattice
 from treesplit.lattice import (
     CompatibilityExperiment,
     Polyline,
@@ -175,7 +176,7 @@ def test_compatible_vertical_split(square_region):
     g = square_region.region
     left = [v for v, (x, y) in enumerate(g.coords) if x < 0.5]
     right = [v for v, (x, y) in enumerate(g.coords) if x > 0.5]
-    res = epsilon_compatible(square_region, [left, right], halved_square(), 0.15)
+    res = epsilon_compatible(square_region, [left, right], 0.15)
     assert res.compatible
     assert res.class_max_distance == (0.0, 0.0)
     assert sorted(res.assignment) == [0, 1]
@@ -187,9 +188,7 @@ def test_compatible_everything_at_diameter(square_region):
     half = [v for v in range(n) if v % 2 == 0]
     other = [v for v in range(n) if v % 2 == 1]
     # classes need not be connected for the geometric check itself
-    res = epsilon_compatible(
-        square_region, [half, other], halved_square(), math.sqrt(2.0)
-    )
+    res = epsilon_compatible(square_region, [half, other], math.sqrt(2.0))
     assert res.compatible
 
 
@@ -199,7 +198,7 @@ def test_compatible_false_for_scrambled_small_eps(square_region):
     right = [v for v, (x, y) in enumerate(g.coords) if x > 0.5]
     bad_left = left[:-4] + right[:4]
     bad_right = right[4:] + left[-4:]
-    res = epsilon_compatible(square_region, [bad_left, bad_right], halved_square(), 0.05)
+    res = epsilon_compatible(square_region, [bad_left, bad_right], 0.05)
     assert not res.compatible
 
 
@@ -207,9 +206,8 @@ def test_compatible_monotone_in_epsilon(square_region):
     g = square_region.region
     mid = [v for v, (x, y) in enumerate(g.coords) if x < 0.65]
     rest = [v for v in range(g.num_vertices) if v not in set(mid)]
-    d = halved_square()
     results = [
-        epsilon_compatible(square_region, [mid, rest], d, eps).compatible
+        epsilon_compatible(square_region, [mid, rest], eps).compatible
         for eps in (0.05, 0.1, 0.16, 0.3, 1.5)
     ]
     assert results == sorted(results)
@@ -221,7 +219,6 @@ def test_compatible_class_count_mismatch(square_region):
         epsilon_compatible(
             square_region,
             [list(range(square_region.region.num_vertices))],
-            halved_square(),
             0.1,
         )
 
@@ -260,3 +257,36 @@ def test_experiment_reports_both_tallies():
     assert exp.splittable_frequency > exp.frequency
     assert exp.ci_low <= exp.frequency <= exp.ci_high
     assert exp.splittable_ci_low <= exp.splittable_frequency <= exp.splittable_ci_high
+
+
+def test_experiment_computes_each_size_window_once(monkeypatch):
+    # epsilon 0.1 is also the first size window, so its split is reused
+    calls = []
+    real = lattice.find_approx_split
+
+    def counting(tree, k, eps):
+        calls.append(eps)
+        return real(tree, k, eps)
+
+    monkeypatch.setattr(lattice, "find_approx_split", counting)
+    exp = compatibility_experiment("square", 8, vertical_strips(3), 0.1, trials=5, seed=1)
+    assert exp.successes == 0  # no early exit, so every window is tried
+    assert len(calls) == 3 * exp.trials
+
+
+def test_experiment_reads_region_face_distances(monkeypatch):
+    regions = [build_lattice_region("square", 8, d, 3.0 / 8)
+               for d in (halved_square(), vertical_strips(3))]
+
+    def forbidden(*args):
+        raise AssertionError("vertex-to-face distances recomputed")
+
+    monkeypatch.setattr(lattice, "point_to_polygon_distance", forbidden)
+    for r in regions:
+        compatibility_experiment("square", 8, r.drawing, 0.1, trials=3, seed=4, region=r)
+
+
+def test_experiment_rejects_region_of_another_drawing():
+    r = build_lattice_region("square", 8, halved_square(), 3.0 / 8)
+    with pytest.raises(ValueError):
+        compatibility_experiment("square", 8, vertical_strips(3), 0.1, trials=1, seed=0, region=r)
