@@ -413,7 +413,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("trials", "workers", "count", "bin_size"):
+        for flag in ("trials", "workers", "count", "bin_size", "k", "strips", "samples"):
             if getattr(args, flag, 1) < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         return args.func(args)

@@ -50,10 +50,6 @@ class LinkCutForest:
                 flip[b] ^= 1
             flip[x] = 0
 
-    def _is_splay_root(self, x: int) -> bool:
-        px = self._p[x]
-        return px < 0 or (self._l[px] != x and self._r[px] != x)
-
     def _rotate(self, x: int) -> None:
         p, l, r = self._p, self._l, self._r
         px = p[x]

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from itertools import combinations
-from math import prod
 
-from .planar import Multigraph, Partition
+from .planar import Multigraph
 
 MAX_ORACLE_EDGES = 25
 
@@ -108,8 +107,3 @@ def balanced_partition_weights(g: Multigraph, k: int) -> dict[tuple, int]:
         if all(len(c) == quota for c in classes):
             weights[classes] = weights.get(classes, 0) + 1
     return weights
-
-
-def partition_weight(p: Partition) -> int:
-    """Tree-product weight of one partition (for cross-checks)."""
-    return prod(p.class_tree_counts)

@@ -79,11 +79,11 @@ class UpDownWalker:
     def __init__(self, host: Multigraph, forest_edges, use_linkcut: bool | None = None):
         self.host = host
         m = host.num_edges
-        self.in_forest = bytearray(m)
+        in_forest = bytearray(m)
         for e in forest_edges:
-            self.in_forest[e] = 1
-        self.forest = [e for e in range(m) if self.in_forest[e]]
-        self.nonforest = [e for e in range(m) if not self.in_forest[e]]
+            in_forest[e] = 1
+        self.forest = [e for e in range(m) if in_forest[e]]
+        self.nonforest = [e for e in range(m) if not in_forest[e]]
         self.pos_f = [-1] * m
         self.pos_nf = [-1] * m
         for i, e in enumerate(self.forest):
@@ -97,7 +97,6 @@ class UpDownWalker:
         for e in self.forest:
             u, v = host.edges[e]
             df.link(u, v, e)
-        self.steps_taken = 0
 
     @property
     def k(self) -> int:
@@ -158,7 +157,6 @@ class UpDownWalker:
                 else:
                     # e joins two components and then e itself is removed
                     pass
-            self.steps_taken += 1
             if on_state is not None:
                 on_state(self)
 
@@ -233,6 +231,8 @@ def perfect_balanced_sample(
     integer comparison, never floating point.
     """
     n = g.num_vertices
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if n % k != 0:
         raise ValueError(f"k={k} does not divide the vertex count {n}")
     sampler = DualWilsonSampler(g, dual)
@@ -287,8 +287,14 @@ def approx_balanced_sample(
     from the start distribution and is flagged.
     """
     n = g.num_vertices
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if n % k != 0:
         raise ValueError(f"k={k} does not divide the vertex count {n}")
+    if not 0 <= mixing_multiplier < math.inf:
+        raise ValueError(
+            f"mixing_multiplier must be finite and non-negative, got {mixing_multiplier}"
+        )
     m = g.num_edges
     steps_per_round = math.ceil(mixing_multiplier * m * math.log(max(m, 2)))
     report = SamplerReport(seed=(rng.seed,) + rng.stream)

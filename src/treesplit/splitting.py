@@ -76,15 +76,12 @@ class _WindowDP:
     Intermediate per-child tables are kept for witness reconstruction.
     """
 
-    def __init__(self, t: SpanningTree, lo: int, hi: int, max_cuts: int,
-                 forced: frozenset[int] = frozenset()):
+    def __init__(self, t: SpanningTree, lo: int, hi: int, max_cuts: int):
         self.hi = hi
         self.max_cuts = max_cuts
         n = t.host.num_vertices
         self.window_mask = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1) if hi >= lo else 0
-        # forced cuts split the tree into sub-root components
-        parent, parent_e, self.order = root_forest(n, t.host.edges, t.edges - forced)
-        self.roots = [x for x in self.order if parent[x] < 0]
+        parent, parent_e, self.order = root_forest(n, t.host.edges, t.edges)
         self.children: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for x in self.order:
             if parent[x] >= 0:
@@ -98,7 +95,7 @@ class _WindowDP:
         cap = (1 << (hi + 1)) - 1
         for x in reversed(self.order):
             state = {0: 2}  # residual 1, no cuts
-            trail = [dict(state)]
+            trail = [state]
             for e, c in self.children[x]:
                 child = self.dp[c]
                 new: dict[int, int] = {}
@@ -120,19 +117,13 @@ class _WindowDP:
                             cut = cu + cc + 1
                             new[cut] = new.get(cut, 0) | mask
                 state = new
-                trail.append(dict(state))
+                trail.append(state)
             self.dp[x] = state
             self.trail[x] = trail
 
-    def feasible_counts(self, root: int) -> dict[int, bool]:
-        """cuts-used -> whether the root component can land in the window."""
-        return {
-            cu: bool(mask & self.window_mask)
-            for cu, mask in self.dp[root].items()
-        }
-
-    def extract(self, root: int, cuts: int) -> frozenset[int] | None:
-        """Deterministic witness with ``cuts`` cuts under this root."""
+    def extract(self, cuts: int) -> frozenset[int] | None:
+        """Deterministic witness with ``cuts`` cuts, or None if there is none."""
+        root = self.order[0]
         mask = self.dp[root].get(cuts, 0) & self.window_mask
         if not mask:
             return None
@@ -206,31 +197,10 @@ def find_approx_split(t: SpanningTree, k: int, epsilon: float) -> SplitResult | 
     lo, hi = _window_bounds(n, k, epsilon)
     if lo > hi:
         return None
-    dp = _WindowDP(t, lo, hi, k - 1)
-    root = dp.roots[0]
-    if not dp.feasible_counts(root).get(k - 1, False):
+    cut = _WindowDP(t, lo, hi, k - 1).extract(k - 1)
+    if cut is None:
         return None
-    cut = dp.extract(root, k - 1)
-    assert cut is not None
     return SplitResult(cut, component_sizes(t, cut))
-
-
-def _window_feasible(t: SpanningTree, k: int, lo: int, hi: int,
-                     forced: frozenset[int]) -> bool:
-    dp = _WindowDP(t, lo, hi, k - 1, forced)
-    budget = k - 1 - len(forced)
-    # subset-sum of per-subtree feasible cut counts
-    reachable = 1  # bitmask over total extra cuts
-    for root in dp.roots:
-        counts = dp.feasible_counts(root)
-        acc = 0
-        for cu, ok in counts.items():
-            if ok and cu <= budget:
-                acc |= reachable << cu
-        reachable = acc & ((1 << (budget + 1)) - 1)
-        if not reachable:
-            return False
-    return bool(reachable >> budget & 1)
 
 
 def _delta_windows(n: int, k: int, delta: int):
@@ -242,9 +212,11 @@ def _delta_windows(n: int, k: int, delta: int):
 def find_min_imbalance_split(t: SpanningTree, k: int) -> SplitResult:
     """A (k-1)-edge cut minimizing max minus min component size.
 
-    Ties are broken toward the lexicographically smallest sorted edge-id
-    set, found by greedy feasibility checks edge by edge. For k=2 the cut is
-    one edge, so one rooting gives every candidate's sizes.
+    For k=2 the cut is one edge, so one rooting gives every candidate's
+    sizes, and ties go to the smallest edge id. For k>=3 the widths
+    delta = 0, 1, ... are tried in turn; the answer is the window DP's
+    deterministic witness for the first size window [lo, lo + delta] that
+    admits a split.
     """
     n = t.host.num_vertices
     if not (1 <= k <= n):
@@ -259,34 +231,12 @@ def find_min_imbalance_split(t: SpanningTree, k: int) -> SplitResult:
         )
         # the root, vertex 0, is the smallest vertex and stays above the cut
         return SplitResult(frozenset({e}), (n - below, below))
-    best_delta = None
     for delta in range(n):
-        if any(
-            _window_feasible(t, k, lo, hi, frozenset())
-            for lo, hi in _delta_windows(n, k, delta)
-        ):
-            best_delta = delta
-            break
-    assert best_delta is not None, "a tree always splits into k <= N parts"
-
-    def feasible_with(forced: frozenset[int]) -> bool:
-        return any(
-            _window_feasible(t, k, lo, hi, forced)
-            for lo, hi in _delta_windows(n, k, best_delta)
-        )
-
-    forced: set[int] = set()
-    tree_edges = sorted(t.edges)
-    for _ in range(k - 1):
-        for e in tree_edges:
-            if e in forced:
-                continue
-            if feasible_with(frozenset(forced | {e})):
-                forced.add(e)
-                break
-        else:
-            raise AssertionError("greedy lexicographic completion failed")
-    sizes = component_sizes(t, forced)
-    result = SplitResult(frozenset(forced), sizes)
-    assert result.imbalance == best_delta, "witness must realize the minimum"
-    return result
+        for lo, hi in _delta_windows(n, k, delta):
+            cut = _WindowDP(t, lo, hi, k - 1).extract(k - 1)
+            if cut is not None:
+                result = SplitResult(cut, component_sizes(t, cut))
+                # no narrower window was feasible
+                assert result.imbalance == delta, "witness must realize the minimum"
+                return result
+    raise AssertionError("a tree always splits into k <= N parts")

@@ -172,6 +172,10 @@ def test_cli_rejects_bad_trials():
     ["walk-bounds", "--j0", "99"],
     ["histogram", "--bin-size", "0"],
     ["lattice", "--strips", "0", "--trials", "10"],
+    ["sample", "--k", "0"],
+    ["sample", "--k", "0", "--mode", "updown"],
+    ["scaling", "--sizes", "3", "--samples", "0"],
+    ["sample", "--mode", "updown", "--mixing-multiplier", "-1"],
 ])
 def test_cli_bad_input_is_one_line_error(args, tmp_path, capsys):
     if args[0] in ("heatmap", "histogram"):
@@ -182,6 +186,8 @@ def test_cli_bad_input_is_one_line_error(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("treesplit: error: ")
+    if "--strips" in args:
+        assert "--strips" in err
 
 
 def test_histogram_bins_rejects_nonpositive_size():

@@ -199,6 +199,17 @@ def test_perfect_requires_divisibility():
         perfect_balanced_sample(g, 2, RngStream(0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: perfect_balanced_sample(g, 0, RngStream(0)),
+    lambda g: approx_balanced_sample(g, 0, RngStream(0)),
+    lambda g: approx_balanced_sample(g, 2, RngStream(0), mixing_multiplier=-1),
+    lambda g: approx_balanced_sample(g, 2, RngStream(0), mixing_multiplier=float("inf")),
+], ids=["perfect-k0", "approx-k0", "negative-multiplier", "infinite-multiplier"])
+def test_samplers_reject_bad_parameters(call):
+    with pytest.raises(ValueError):
+        call(build_grid(2, 2))
+
+
 def test_perfect_round_cap_trips():
     # 1x4 path has no dual, so use a 2x3 grid with k=6: balanced 6-partition
     # of 6 vertices is all-singletons, which a tree cut always achieves;

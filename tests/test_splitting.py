@@ -11,6 +11,7 @@ import treesplit.splitting
 from treesplit.planar import Multigraph, SpanningTree, build_grid
 from treesplit.rng import RngStream
 from treesplit.splitting import (
+    _delta_windows,
     component_sizes,
     find_approx_split,
     find_balanced_split,
@@ -267,7 +268,7 @@ def test_min_imbalance_matches_brute_force():
     for trial in range(120):
         n = 7 + trial % 8
         t = random_tree(n, rng.substream(trial))
-        for k in (2, 3):
+        for k in (2, 3, 4):
             res = find_min_imbalance_split(t, k)
             assert res.imbalance == brute_min_imbalance(t, k)
             assert component_sizes(t, res.cut_edges) == res.component_sizes
@@ -279,7 +280,9 @@ def test_min_imbalance_matches_brute_force():
         assert find_min_imbalance_split(t, 2).cut_edges == frozenset({best})
 
 
-def test_min_imbalance_k2_runs_no_window_dp(monkeypatch):
+@pytest.fixture
+def dp_builds(monkeypatch):
+    """A one-item list counting the _WindowDP instances built."""
     built = [0]
 
     class CountingDP(treesplit.splitting._WindowDP):
@@ -288,13 +291,27 @@ def test_min_imbalance_k2_runs_no_window_dp(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(treesplit.splitting, "_WindowDP", CountingDP)
+    return built
+
+
+def test_min_imbalance_k2_runs_no_window_dp(dp_builds):
     g = build_grid(6, 6)
     t = wilson(g, rng=RngStream(5))
     res = find_min_imbalance_split(t, 2)
-    assert built[0] == 0
+    assert dp_builds[0] == 0
     assert res.imbalance == brute_min_imbalance(t, 2)
     find_min_imbalance_split(t, 3)
-    assert built[0] > 0
+    assert dp_builds[0] > 0
+
+
+def test_min_imbalance_k3_builds_one_dp_per_window_tried(dp_builds):
+    t = wilson(build_grid(6, 6), rng=RngStream(5))
+    res = find_min_imbalance_split(t, 3)
+    assert res.imbalance == brute_min_imbalance(t, 3)
+    windows = sum(
+        len(list(_delta_windows(36, 3, delta))) for delta in range(res.imbalance + 1)
+    )
+    assert dp_builds[0] <= windows
 
 
 def test_min_imbalance_lexicographic_ties():
